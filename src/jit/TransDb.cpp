@@ -58,9 +58,11 @@ Translation &TransDb::create(TransKind Kind,
           ? static_cast<double>(Cost) /
                 static_cast<double>(T->Unit->BytecodeCount)
           : 1.0;
+  uint64_t Bytes = T->Unit->sizeBytes();
   support::MutexLock Lock(M);
   T->Id = static_cast<uint32_t>(All.size());
   ElidedGuardCount += T->Unit->ElidedGuards.size();
+  BytesByKind[static_cast<size_t>(Kind)] += Bytes;
   mapFor(Kind).insertOrAssign(T->Unit->Func.raw(), T->Id);
   All.push_back(std::move(T));
   return *All.back();
@@ -93,15 +95,6 @@ const Translation *TransDb::best(bc::FuncId F) const {
   if (Prof && Prof->Placed)
     return Prof;
   return nullptr;
-}
-
-uint64_t TransDb::bytesOfKind(TransKind K) const {
-  support::MutexLock Lock(M);
-  uint64_t Total = 0;
-  for (const auto &T : All)
-    if (T->Kind == K)
-      Total += T->Unit->sizeBytes();
-  return Total;
 }
 
 std::string TransDb::placementDigest() const {

@@ -18,6 +18,7 @@
 #include "support/FlatMap.h"
 #include "support/ThreadSafety.h"
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,7 +80,10 @@ public:
   }
 
   /// Total Vasm bytes of translations of kind \p K (placed or not).
-  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M);
+  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M) {
+    support::MutexLock Lock(M);
+    return BytesByKind[static_cast<size_t>(K)];
+  }
 
   /// One line per translation in id order (kind, function, placement,
   /// entry address, block count).  Part of the determinism promise: two
@@ -105,6 +109,9 @@ private:
   FuncMap ProfileMap JUMPSTART_GUARDED_BY(M);
   FuncMap OptMap JUMPSTART_GUARDED_BY(M);
   uint64_t ElidedGuardCount JUMPSTART_GUARDED_BY(M) = 0;
+  /// Running bytesOfKind totals, indexed by TransKind.  Exact because a
+  /// translation's unit is immutable once created.
+  std::array<uint64_t, 3> BytesByKind JUMPSTART_GUARDED_BY(M) = {};
 };
 
 } // namespace jumpstart::jit

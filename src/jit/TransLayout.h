@@ -20,6 +20,7 @@
 #include "jit/CodeCache.h"
 #include "jit/Translation.h"
 #include "layout/CallGraph.h"
+#include "layout/Cfg.h"
 #include "profile/ProfilePackage.h"
 #include "profile/ProfileStore.h"
 
@@ -42,6 +43,11 @@ struct UnitLayout {
   std::vector<uint32_t> HotOrder;
   std::vector<uint32_t> ColdOrder;
 };
+
+/// Builds a layout::Cfg mirroring \p Unit's blocks: successor links plus
+/// inline call edges.  Edge weights are estimated as min(src, dst) block
+/// weight -- the classic approximation when only block counters exist.
+layout::Cfg buildLayoutCfg(const VasmUnit &Unit);
 
 /// Computes the block layout of \p Unit.
 UnitLayout layoutUnit(const VasmUnit &Unit, const LayoutOptions &Opts);

@@ -45,7 +45,8 @@ inline const char *transKindName(TransKind K) {
 struct Translation {
   uint32_t Id = 0;
   TransKind Kind = TransKind::Live;
-  std::unique_ptr<VasmUnit> Unit;
+  /// Immutable once created (TransDb keeps running byte totals of it).
+  std::unique_ptr<const VasmUnit> Unit;
   /// Per-Vasm-block placed addresses; 0 until placed.
   std::vector<uint64_t> BlockAddrs;
   /// Blocks whose trailing unconditional jump was elided at placement

@@ -47,7 +47,8 @@ public:
     return static_cast<uint32_t>(Blocks.size() - 1);
   }
 
-  /// Adds (or accumulates onto an existing) edge Src -> Dst.
+  /// Adds (or accumulates onto an existing) edge Src -> Dst.  Edges keep
+  /// the order of their first insertion.
   void addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight);
 
   size_t numBlocks() const { return Blocks.size(); }
@@ -63,8 +64,17 @@ public:
   uint64_t totalBytes() const;
 
 private:
+  /// Home slot of edge (Src, Dst) in EdgeSlots.
+  size_t slotOf(uint32_t Src, uint32_t Dst) const;
+  /// Doubles EdgeSlots and re-inserts every edge.
+  void growEdgeSlots();
+
   std::vector<CfgBlock> Blocks;
   std::vector<CfgEdge> Edges;
+  /// Open-addressing index of Edges by (Src, Dst), linear probing: a slot
+  /// holds an edge id + 1, or 0 when empty.  Flat, so building the many
+  /// short-lived layout CFGs allocates a single array.
+  std::vector<uint32_t> EdgeSlots;
 };
 
 } // namespace jumpstart::layout

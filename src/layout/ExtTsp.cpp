@@ -10,28 +10,10 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <numeric>
+#include <unordered_map>
 
 using namespace jumpstart;
 using namespace jumpstart::layout;
-
-void Cfg::addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight) {
-  assert(Src < Blocks.size() && Dst < Blocks.size() && "edge out of range");
-  for (CfgEdge &E : Edges) {
-    if (E.Src == Src && E.Dst == Dst) {
-      E.Weight += Weight;
-      return;
-    }
-  }
-  Edges.push_back(CfgEdge{Src, Dst, Weight});
-}
-
-uint64_t Cfg::totalBytes() const {
-  uint64_t Total = 0;
-  for (const CfgBlock &B : Blocks)
-    Total += B.SizeBytes;
-  return Total;
-}
 
 namespace {
 
@@ -58,6 +40,13 @@ double scoreEdge(uint64_t Weight, uint64_t SrcEnd, uint64_t DstStart,
 }
 
 /// The greedy chain-merging optimizer.
+///
+/// Each iteration merges the connected chain pair with the largest score
+/// gain.  A pair's best merge depends only on the two chains' contents, so
+/// gains are cached per ordered chain pair and a merge invalidates only the
+/// entries naming the two chains it touched; an iteration costs one cache
+/// lookup per edge plus fresh evaluations of the pairs that involve the
+/// chain just formed.
 class ExtTspSolver {
 public:
   ExtTspSolver(const Cfg &G, const ExtTspParams &P) : G(G), P(P) {
@@ -72,19 +61,49 @@ public:
       Chains.push_back({B});
       ChainOf[B] = B;
     }
+    ScoreOf.assign(N, 0.0);
+    StartOf.assign(N, 0);
+    StampOf.assign(N, 0);
   }
 
   std::vector<uint32_t> solve();
 
-private:
-  /// Ext-TSP score of the blocks in \p Chain laid out consecutively,
-  /// counting only edges internal to the chain.
-  double chainScore(const std::vector<uint32_t> &Chain) const;
+  /// bestMerge evaluations made so far (cache misses).
+  uint64_t MergeEvals = 0;
 
-  /// Best merged form of chains A and B and its score; considers A+B,
-  /// B+A, and (for short A) splitting A around B.
-  double bestMerge(uint32_t A, uint32_t B,
-                   std::vector<uint32_t> &MergedOut) const;
+private:
+  /// How a merged chain is assembled from chains A and B.
+  enum Shape : int32_t {
+    kConcatAB = 0,
+    kConcatBA = 1,
+    kSplitBase = 2, ///< kSplitBase + S: A[0,S) + B + A[S,end)
+  };
+
+  /// The best merge of an ordered chain pair (A, B).
+  struct Merge {
+    /// MergedScore - score(A) - score(B).
+    double Gain = 0.0;
+    double MergedScore = 0.0;
+    int32_t How = kConcatAB;
+  };
+
+  static uint64_t pairKey(uint32_t A, uint32_t B) {
+    return (static_cast<uint64_t>(A) << 32) | B;
+  }
+
+  /// Ext-TSP score of the blocks in \p Chain laid out consecutively,
+  /// counting only edges internal to the chain.  Edges are summed in chain
+  /// position order, then out-edge order.
+  double chainScore(const std::vector<uint32_t> &Chain);
+
+  /// Best merged form of chains A and B; considers A+B, B+A, and (for
+  /// short A) splitting A around B.  The first strictly best candidate in
+  /// that order wins.
+  Merge bestMerge(uint32_t A, uint32_t B);
+
+  /// Writes the chain \p How assembles from A and B into \p Out.
+  void assemble(uint32_t A, uint32_t B, int32_t How,
+                std::vector<uint32_t> &Out) const;
 
   uint64_t chainBytes(const std::vector<uint32_t> &Chain) const {
     uint64_t Total = 0;
@@ -105,6 +124,17 @@ private:
   std::vector<std::vector<CfgEdge>> OutEdges;
   std::vector<std::vector<uint32_t>> Chains; ///< empty = absorbed
   std::vector<uint32_t> ChainOf;             ///< block -> chain index
+  std::vector<double> ScoreOf;               ///< chain -> chainScore
+  /// Merge cache keyed by pairKey(A, B).
+  std::unordered_map<uint64_t, Merge> Cache;
+
+  /// chainScore's position map: StartOf[B] is B's offset in the chain
+  /// being scored when StampOf[B] == Stamp.
+  std::vector<uint64_t> StartOf;
+  std::vector<uint32_t> StampOf;
+  uint32_t Stamp = 0;
+  /// bestMerge's candidate buffer.
+  std::vector<uint32_t> Candidate;
 
   /// Splitting is only attempted on chains at most this many blocks long
   /// (bounds the cubic factor; matches the spirit of the reference
@@ -112,78 +142,75 @@ private:
   static constexpr size_t kSplitLimit = 32;
 };
 
-double ExtTspSolver::chainScore(const std::vector<uint32_t> &Chain) const {
+double ExtTspSolver::chainScore(const std::vector<uint32_t> &Chain) {
   if (Chain.size() < 2)
     return 0.0;
-  // Block start offsets within the chain.
-  // (Position map is small; linear scan keeps this allocation-free for
-  // typical chains.)
+  ++Stamp;
+  uint64_t Offset = 0;
+  for (uint32_t Block : Chain) {
+    StartOf[Block] = Offset;
+    StampOf[Block] = Stamp;
+    Offset += G.block(Block).SizeBytes;
+  }
   double Score = 0.0;
-  for (size_t I = 0; I < Chain.size(); ++I) {
-    uint64_t SrcStart = 0;
-    for (size_t J = 0; J < I; ++J)
-      SrcStart += G.block(Chain[J]).SizeBytes;
-    uint64_t SrcEnd = SrcStart + G.block(Chain[I]).SizeBytes;
-    for (const CfgEdge &E : OutEdges[Chain[I]]) {
-      // Find Dst within this chain.
-      uint64_t DstStart = 0;
-      bool Found = false;
-      for (uint32_t Block : Chain) {
-        if (Block == E.Dst) {
-          Found = true;
-          break;
-        }
-        DstStart += G.block(Block).SizeBytes;
-      }
-      if (Found)
-        Score += scoreEdge(E.Weight, SrcEnd, DstStart, P);
-    }
+  for (uint32_t Block : Chain) {
+    uint64_t SrcEnd = StartOf[Block] + G.block(Block).SizeBytes;
+    for (const CfgEdge &E : OutEdges[Block])
+      if (StampOf[E.Dst] == Stamp)
+        Score += scoreEdge(E.Weight, SrcEnd, StartOf[E.Dst], P);
   }
   return Score;
 }
 
-double ExtTspSolver::bestMerge(uint32_t A, uint32_t B,
-                               std::vector<uint32_t> &MergedOut) const {
+void ExtTspSolver::assemble(uint32_t A, uint32_t B, int32_t How,
+                            std::vector<uint32_t> &Out) const {
   const std::vector<uint32_t> &CA = Chains[A];
   const std::vector<uint32_t> &CB = Chains[B];
-  double Best = -1.0;
+  Out.clear();
+  if (How == kConcatAB) {
+    Out.insert(Out.end(), CA.begin(), CA.end());
+    Out.insert(Out.end(), CB.begin(), CB.end());
+  } else if (How == kConcatBA) {
+    Out.insert(Out.end(), CB.begin(), CB.end());
+    Out.insert(Out.end(), CA.begin(), CA.end());
+  } else {
+    size_t Split = static_cast<size_t>(How - kSplitBase);
+    Out.insert(Out.end(), CA.begin(), CA.begin() + Split);
+    Out.insert(Out.end(), CB.begin(), CB.end());
+    Out.insert(Out.end(), CA.begin() + Split, CA.end());
+  }
+}
 
-  auto Consider = [&](std::vector<uint32_t> Candidate) {
-    // The entry block must remain first in whatever chain holds it.
-    if (ChainOf[0] == A || ChainOf[0] == B) {
-      if (Candidate.front() != 0 &&
-          std::find(Candidate.begin(), Candidate.end(), 0u) !=
-              Candidate.end())
-        return;
-    }
+ExtTspSolver::Merge ExtTspSolver::bestMerge(uint32_t A, uint32_t B) {
+  ++MergeEvals;
+  // The entry block must remain first in whatever chain holds it.
+  // The entry block heads its chain, so A+B or B+A always passes.
+  bool HoldsEntry = ChainOf[0] == A || ChainOf[0] == B;
+  double Best = -1.0;
+  int32_t BestHow = kConcatAB;
+  auto Consider = [&](int32_t How) {
+    assemble(A, B, How, Candidate);
+    if (HoldsEntry && Candidate.front() != 0)
+      return;
     double Score = chainScore(Candidate);
     if (Score > Best) {
       Best = Score;
-      MergedOut = std::move(Candidate);
+      BestHow = How;
     }
   };
 
-  // Concatenations.
-  {
-    std::vector<uint32_t> AB = CA;
-    AB.insert(AB.end(), CB.begin(), CB.end());
-    Consider(std::move(AB));
-  }
-  {
-    std::vector<uint32_t> BA = CB;
-    BA.insert(BA.end(), CA.begin(), CA.end());
-    Consider(std::move(BA));
-  }
-  // Splits of A around B: A1 + B + A2.
-  if (CA.size() >= 2 && CA.size() <= kSplitLimit) {
-    for (size_t Split = 1; Split < CA.size(); ++Split) {
-      std::vector<uint32_t> Candidate(CA.begin(), CA.begin() + Split);
-      Candidate.insert(Candidate.end(), CB.begin(), CB.end());
-      Candidate.insert(Candidate.end(), CA.begin() + Split, CA.end());
-      Consider(std::move(Candidate));
-    }
-  }
-  return Best;
+  Consider(kConcatAB);
+  Consider(kConcatBA);
+  size_t SizeA = Chains[A].size();
+  if (SizeA >= 2 && SizeA <= kSplitLimit)
+    for (size_t Split = 1; Split < SizeA; ++Split)
+      Consider(kSplitBase + static_cast<int32_t>(Split));
+
+  Merge M;
+  M.How = BestHow;
+  M.MergedScore = Best;
+  M.Gain = Best - ScoreOf[A] - ScoreOf[B];
+  return M;
 }
 
 std::vector<uint32_t> ExtTspSolver::solve() {
@@ -193,36 +220,46 @@ std::vector<uint32_t> ExtTspSolver::solve() {
     double BestGain = 1e-9;
     uint32_t BestA = 0;
     uint32_t BestB = 0;
-    std::vector<uint32_t> BestMerged;
+    const Merge *BestMerge = nullptr;
 
-    // Candidate pairs are chains connected by at least one edge.
+    // Candidate pairs are chains connected by at least one edge, visited
+    // in edge order so ties go to the first pair reached.
     for (uint32_t Src = 0; Src < G.numBlocks(); ++Src) {
       for (const CfgEdge &E : OutEdges[Src]) {
         uint32_t A = ChainOf[E.Src];
         uint32_t B = ChainOf[E.Dst];
         if (A == B)
           continue;
-        std::vector<uint32_t> Merged;
-        double MergedScore = bestMerge(A, B, Merged);
-        if (Merged.empty())
-          continue;
-        double Gain =
-            MergedScore - chainScore(Chains[A]) - chainScore(Chains[B]);
-        if (Gain > BestGain) {
-          BestGain = Gain;
+        auto [It, Inserted] = Cache.try_emplace(pairKey(A, B));
+        if (Inserted)
+          It->second = bestMerge(A, B);
+        const Merge &M = It->second;
+        if (M.Gain > BestGain) {
+          BestGain = M.Gain;
           BestA = A;
           BestB = B;
-          BestMerged = std::move(Merged);
+          BestMerge = &M;
         }
       }
     }
-    if (BestMerged.empty())
+    if (!BestMerge)
       break;
     // Apply: A absorbs the merged chain, B empties.
-    Chains[BestA] = std::move(BestMerged);
+    std::vector<uint32_t> Merged;
+    assemble(BestA, BestB, BestMerge->How, Merged);
+    ScoreOf[BestA] = BestMerge->MergedScore;
+    ScoreOf[BestB] = 0.0;
+    Chains[BestA] = std::move(Merged);
     Chains[BestB].clear();
     for (uint32_t Block : Chains[BestA])
       ChainOf[Block] = BestA;
+    // Only entries naming A or B saw a chain (or the entry block's chain)
+    // change; every other cached merge is still exact.
+    std::erase_if(Cache, [&](const auto &Entry) {
+      uint32_t X = static_cast<uint32_t>(Entry.first >> 32);
+      uint32_t Y = static_cast<uint32_t>(Entry.first);
+      return X == BestA || X == BestB || Y == BestA || Y == BestB;
+    });
   }
 
   // Order chains: the entry chain first, the rest by density (hotness per
@@ -279,11 +316,17 @@ double jumpstart::layout::extTspScore(const Cfg &G,
 }
 
 std::vector<uint32_t>
-jumpstart::layout::extTspOrder(const Cfg &G, const ExtTspParams &Params) {
+jumpstart::layout::extTspOrder(const Cfg &G, const ExtTspParams &Params,
+                               ExtTspStats *Stats) {
+  if (Stats)
+    *Stats = ExtTspStats();
   if (G.numBlocks() == 0)
     return {};
   if (G.numBlocks() == 1)
     return {0};
   ExtTspSolver Solver(G, Params);
-  return Solver.solve();
+  std::vector<uint32_t> Order = Solver.solve();
+  if (Stats)
+    Stats->MergeEvals = Solver.MergeEvals;
+  return Order;
 }

@@ -18,6 +18,15 @@
 /// by best score gain, considering multiple merge shapes (including
 /// splitting a chain), then orders the final chains by density.
 ///
+/// The solver is incremental, as in LLVM's CodeLayout: the best merge of
+/// each connected chain pair is cached with its gain, and a merge drops
+/// only the entries naming the two chains it touched.  An iteration thus
+/// costs one cache lookup per edge plus fresh merge evaluations for the
+/// pairs involving the chain just formed, instead of re-scoring every
+/// pair.  The cached values are the very doubles a full re-scan would
+/// compute, so the order is the one the whole-graph greedy merger yields
+/// (tests/ExtTspReference.cpp keeps that merger as the oracle).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_LAYOUT_EXTTSP_H
@@ -43,10 +52,17 @@ struct ExtTspParams {
 double extTspScore(const Cfg &G, const std::vector<uint32_t> &Order,
                    const ExtTspParams &Params = ExtTspParams());
 
+/// Work counters of one extTspOrder call.
+struct ExtTspStats {
+  /// Best-merge evaluations of a chain pair (merge-cache misses).
+  uint64_t MergeEvals = 0;
+};
+
 /// Computes a block order maximizing the Ext-TSP score, starting from the
-/// entry block (block 0 always stays first).
+/// entry block (block 0 always stays first).  Fills \p Stats when given.
 std::vector<uint32_t> extTspOrder(const Cfg &G,
-                                  const ExtTspParams &Params = ExtTspParams());
+                                  const ExtTspParams &Params = ExtTspParams(),
+                                  ExtTspStats *Stats = nullptr);
 
 } // namespace jumpstart::layout
 

@@ -407,6 +407,30 @@ TEST(Tiering, FullLifecycle) {
   EXPECT_LT(Opt->CostPerBytecode, Fix.Config.InterpCostPerBytecode);
 }
 
+TEST(Tiering, BytesOfKindMatchesTranslationScan) {
+  // bytesOfKind keeps running totals; they must equal a scan of every
+  // translation at any point of the lifecycle.
+  TieringFixture Fix;
+  auto ExpectTotalsMatchScan = [&] {
+    const TransDb &Db = Fix.J->transDb();
+    for (TransKind K :
+         {TransKind::Live, TransKind::Profile, TransKind::Optimized}) {
+      uint64_t Scan = 0;
+      for (const auto &T : Db.all())
+        if (T->Kind == K)
+          Scan += T->Unit->sizeBytes();
+      EXPECT_EQ(Db.bytesOfKind(K), Scan) << transKindName(K);
+    }
+  };
+  ExpectTotalsMatchScan();
+  Fix.serve(3);
+  EXPECT_GT(Fix.J->transDb().bytesOfKind(TransKind::Profile), 0u);
+  ExpectTotalsMatchScan();
+  Fix.serve(6);
+  EXPECT_GT(Fix.J->transDb().bytesOfKind(TransKind::Optimized), 0u);
+  ExpectTotalsMatchScan();
+}
+
 TEST(Tiering, ProfilingCollectsData) {
   TieringFixture Fix;
   Fix.runRequest();

@@ -72,6 +72,25 @@ Cfg makeRandomCfg(Rng &R, size_t NumBlocks) {
 
 } // namespace
 
+TEST(Cfg, RepeatedEdgesAccumulateInFirstInsertionOrder) {
+  Cfg G;
+  for (int I = 0; I < 3; ++I)
+    G.addBlock(16, 1);
+  G.addEdge(0, 1, 5);
+  G.addEdge(1, 2, 7);
+  G.addEdge(0, 1, 3);
+  G.addEdge(2, 0, 1);
+  G.addEdge(1, 2, 1);
+  ASSERT_EQ(G.edges().size(), 3u);
+  EXPECT_EQ(G.edges()[0].Src, 0u);
+  EXPECT_EQ(G.edges()[0].Dst, 1u);
+  EXPECT_EQ(G.edges()[0].Weight, 8u);
+  EXPECT_EQ(G.edges()[1].Src, 1u);
+  EXPECT_EQ(G.edges()[1].Weight, 8u);
+  EXPECT_EQ(G.edges()[2].Src, 2u);
+  EXPECT_EQ(G.edges()[2].Weight, 1u);
+}
+
 TEST(ExtTsp, SingleBlock) {
   Cfg G;
   G.addBlock(16, 1);
